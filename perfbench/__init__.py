@@ -1,0 +1,7 @@
+"""End-to-end benchmark of the query-optimization service.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` runs one workload and prints one JSON result line; see
+``perfbench/README.md`` for the workloads, metrics and how the figures
+are kept steady.
+"""
